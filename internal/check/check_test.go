@@ -269,6 +269,43 @@ func TestBenchmarkSweep(t *testing.T) {
 	}
 }
 
+// TestWriteBackBenchmarkSweep runs the suite under the hardware
+// protocols with the Section IV write-back option on. A flushed line
+// stays valid in the writer's slice (only its dirty bit clears), so the
+// homes must keep tracking the writer: dropping it as a sharer breaks
+// directory inclusion on every benchmark.
+func TestWriteBackBenchmarkSweep(t *testing.T) {
+	scale := 0.1
+	if testing.Short() {
+		scale = 0.05
+	}
+	for _, k := range []proto.Kind{proto.NHCC, proto.HMG} {
+		for _, name := range workload.Names() {
+			k, name := k, name
+			t.Run(fmt.Sprintf("%v/%s", k, name), func(t *testing.T) {
+				t.Parallel()
+				cfg := consist.SmallConfig(k)
+				cfg.WriteBack = true
+				sys, err := gsim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ck := Attach(sys)
+				p, err := workload.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Run(p.Generate(cfg.Topo, scale)); err != nil {
+					t.Fatal(err)
+				}
+				if err := ck.Err(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestCheckerDoesNotPerturb asserts the harness's cardinal rule: an
 // attached checker changes no simulation outcome. Results must be
 // deep-equal with and without it.
