@@ -1,7 +1,9 @@
 // Command hmgcheck is the protocol conformance sweep: it runs seeded
 // litmus cases and the full Table III benchmark suite under every
 // coherence protocol with the runtime invariant checker attached, and
-// exits non-zero on any oracle or invariant violation.
+// exits non-zero on any oracle or invariant violation. The hardware
+// directories NHCC and HMG run the suite a second time with the
+// write-back L2 option on.
 //
 // Usage:
 //
@@ -94,8 +96,17 @@ func main() {
 			k, name := k, name
 			tasks = append(tasks, task{
 				name: fmt.Sprintf("bench %v/%s", k, name),
-				run:  func() error { return runBench(k, name, *scale, mu, shape) },
+				run:  func() error { return runBench(k, name, *scale, mu, shape, false) },
 			})
+			// The hardware directories also run the Section IV write-back
+			// option: flushes reach the homes as whole-line WriteBacks, a
+			// path plain write-through runs never take.
+			if k == proto.NHCC || k == proto.HMG {
+				tasks = append(tasks, task{
+					name: fmt.Sprintf("bench %v+writeback/%s", k, name),
+					run:  func() error { return runBench(k, name, *scale, mu, shape, true) },
+				})
+			}
 		}
 	}
 
@@ -145,11 +156,13 @@ func main() {
 }
 
 // runBench executes one benchmark under one protocol on the conformance
-// machine (reshaped by -topo) with the invariant checker attached.
-func runBench(k proto.Kind, name string, scale float64, mu proto.Mutation, sp topo.Spec) error {
+// machine (reshaped by -topo) with the invariant checker attached,
+// optionally with the write-back L2 option on.
+func runBench(k proto.Kind, name string, scale float64, mu proto.Mutation, sp topo.Spec, writeBack bool) error {
 	cfg := consist.SmallConfig(k)
 	cfg.Topo = sp.Apply(cfg.Topo)
 	cfg.Mutation = mu
+	cfg.WriteBack = writeBack
 	sys, err := gsim.New(cfg)
 	if err != nil {
 		return err
