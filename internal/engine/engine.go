@@ -9,10 +9,10 @@
 // insertion order (a monotone sequence number), which makes simulations
 // fully deterministic for a given input.
 //
-// Steady-state scheduling is allocation-free: the event slice is grown
-// once and reused, and hot callers can avoid closure allocation
-// entirely by scheduling a reusable Handler (see ScheduleHandler) drawn
-// from their own free list.
+// Every event is a Handler. Steady-state scheduling is allocation-free:
+// the event slice is grown once and reused, and hot callers can avoid
+// closure allocation entirely by scheduling a reusable Handler (see
+// ScheduleHandler) drawn from their own free list.
 //
 // Cycles are the only unit of time inside a simulation. The Engine knows
 // the clock frequency solely so that results can be reported in seconds
@@ -40,13 +40,18 @@ type Handler interface {
 	Handle()
 }
 
-// event is a unit of scheduled work, stored by value in the queue. The
-// callback runs exactly once, at the event's cycle: h.Handle() when a
-// Handler was scheduled, fn() otherwise.
+// funcHandler adapts a closure passed to Schedule to Handler. A func
+// value is pointer-shaped, so storing one in the interface does not
+// allocate.
+type funcHandler func()
+
+func (f funcHandler) Handle() { f() }
+
+// event is a unit of scheduled work, stored by value in the queue. Its
+// handler runs exactly once, at the event's cycle.
 type event struct {
 	at  Cycle
 	seq uint64
-	fn  func()
 	h   Handler
 }
 
@@ -179,14 +184,14 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if fn == nil {
 		panic("engine: Schedule called with nil callback")
 	}
-	e.seq++
-	e.queue.push(event{at: e.deadline(delay), seq: e.seq, fn: fn})
+	e.ScheduleHandler(delay, funcHandler(fn))
 }
 
 // ScheduleHandler runs h.Handle() after delay cycles, with the same
-// ordering semantics as Schedule. Unlike Schedule, it performs no heap
-// allocation when h is a pooled pointer context, which makes it the
-// scheduling path for per-hop continuations in the simulator core.
+// ordering semantics as Schedule. Scheduling a pooled pointer context
+// costs no allocation (unlike building a fresh closure for Schedule),
+// which makes it the scheduling path for per-hop continuations in the
+// simulator core.
 func (e *Engine) ScheduleHandler(delay Cycle, h Handler) {
 	if h == nil {
 		panic("engine: ScheduleHandler called with nil handler")
@@ -258,11 +263,7 @@ func (e *Engine) Run(horizon Cycle) Cycle {
 		ev := e.queue.pop()
 		e.now = ev.at
 		e.Executed++
-		if ev.h != nil {
-			ev.h.Handle()
-		} else {
-			ev.fn()
-		}
+		ev.h.Handle()
 	}
 	e.stopped = false // the stop is consumed by the Run that observed it
 	return e.now
