@@ -3,6 +3,7 @@ package gsim
 import (
 	"testing"
 
+	"hmg/internal/directory"
 	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
@@ -208,5 +209,114 @@ func TestWBReducesStoreTraffic(t *testing.T) {
 	wb := mk(true)
 	if wb.InterGPUBytes >= wt.InterGPUBytes {
 		t.Fatalf("write-back traffic (%d B) not below write-through (%d B)", wb.InterGPUBytes, wt.InterGPUBytes)
+	}
+}
+
+// TestWriteWalkRoutes drives write-through stores and write-backs down
+// every route of the shared write walk: issued at the system home, at a
+// GPU home, through a GPU home, and flat to the system home. Under NHCC
+// there are no GPU homes, so the last three all route flat. Each case
+// checks the home DRAM value, the directory sharers at each home, and
+// that the writer's store gates were charged and drained.
+func TestWriteWalkRoutes(t *testing.T) {
+	const addr, val = 0, 42
+	for _, k := range []proto.Kind{proto.NHCC, proto.HMG} {
+		for _, wb := range []bool{false, true} {
+			for _, route := range []string{"at-sys-home", "at-gpu-home", "via-gpu-home", "flat"} {
+				k, wb, route := k, wb, route
+				name := k.String() + "/store/" + route
+				if wb {
+					name = k.String() + "/writeback/" + route
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := tinyConfig(k)
+					cfg.WriteBack = wb
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// GPM 0 (GPU 0) is the system home; GPU 1 holds GPMs 2
+					// and 3, one of which is its GPU home for the line.
+					s.Pages.Touch(addr, 0)
+					line := s.Cfg.Topo.LineOf(addr)
+					gpuHome := s.Pages.GPUHome(1, line)
+					var writer topo.GPMID
+					switch route {
+					case "at-sys-home":
+						writer = 0
+					case "at-gpu-home":
+						writer = gpuHome
+					case "via-gpu-home":
+						writer = 5 - gpuHome // the other GPM of GPU 1
+					case "flat":
+						writer = 1
+					}
+					ops := []trace.Op{{Kind: trace.Store, Addr: addr, Val: val}}
+					if wb {
+						// Cache the line first so the store is absorbed as
+						// dirty data; the kernel-end flush writes it back.
+						ops = []trace.Op{
+							{Kind: trace.Load, Addr: addr},
+							{Kind: trace.Store, Addr: addr, Val: val, Gap: 100000},
+						}
+					}
+					kern := trace.Kernel{CTAs: make([]trace.CTA, 4)}
+					kern.CTAs[writer] = trace.CTA{Warps: []trace.Warp{{Ops: ops}}}
+					if _, err := s.Run(&trace.Trace{Name: "walk", Kernels: []trace.Kernel{kern}}); err != nil {
+						t.Fatal(err)
+					}
+
+					if got := s.GPMs[0].DRAM.LoadValue(addr); got != val {
+						t.Fatalf("system-home DRAM = %d, want %d", got, val)
+					}
+					// A remote write leaves its writer as the only sharer:
+					// the writer's GPU at an HMG system home outside it, the
+					// writer's GPM at a GPU home or a flat home.
+					var wantSys, wantGPU directory.Sharers
+					hier := k == proto.HMG
+					switch {
+					case writer == 0:
+					case hier && s.Cfg.Topo.GPUOf(writer) == 1:
+						wantSys = directory.GPUBit(1)
+						if writer != gpuHome {
+							wantGPU = directory.GPMBit(s.Cfg.Topo.LocalOf(writer))
+						}
+					case hier:
+						wantSys = directory.GPMBit(s.Cfg.Topo.LocalOf(writer))
+					default:
+						wantSys = directory.GPMBit(int(writer))
+					}
+					checkSharers := func(home topo.GPMID, want directory.Sharers) {
+						t.Helper()
+						d := s.GPMs[home].Dir
+						var got directory.Sharers
+						if e, ok := d.Dir.Lookup(d.Dir.RegionOf(line)); ok {
+							got = e.Sharers
+						}
+						if !got.Equal(want) {
+							t.Fatalf("GPM %d directory sharers = %v, want %v", home, got, want)
+						}
+					}
+					checkSharers(0, wantSys)
+					if hier {
+						checkSharers(gpuHome, wantGPU)
+					}
+
+					// The store charges the writer's gates once, and its
+					// write-back once more.
+					wantStarted := uint64(1)
+					if wb {
+						wantStarted = 2
+					}
+					sm := s.SMs[s.Cfg.Topo.SM(writer, 0)]
+					for _, g := range []*drain{&sm.gpuHomeGate, &sm.sysHomeGate} {
+						if g.started != wantStarted || g.Pending() != 0 {
+							t.Fatalf("writer gate started %d (want %d), pending %d (want 0)",
+								g.started, wantStarted, g.Pending())
+						}
+					}
+				})
+			}
+		}
 	}
 }
