@@ -469,3 +469,45 @@ func TestHmglintVettool(t *testing.T) {
 		t.Fatalf("vettool finding not relayed by go vet:\n%s", out)
 	}
 }
+
+// TestProfileFlags drives -cpuprofile and -memprofile on the two
+// measuring tools: each flag must write a non-empty profile and leave
+// standard output byte-identical to an unprofiled run.
+func TestProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	stdout := func(bin string, args ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, args...)
+		var out, errOut bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s %v: %v\n%s", bin, args, err, errOut.String())
+		}
+		return out.String()
+	}
+	for _, tc := range []struct {
+		pkg  string
+		args []string
+	}{
+		{"cmd/hmgbench", []string{"-fig", "9", "-scale", "0.1", "-sms", "4"}},
+		{"cmd/hmgperf", []string{"-against", filepath.Join("..", "BENCH_2026-08-09.json")}},
+	} {
+		t.Run(filepath.Base(tc.pkg), func(t *testing.T) {
+			bin := build(t, tc.pkg)
+			plain := stdout(bin, tc.args...)
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+			profiled := stdout(bin, append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tc.args...)...)
+			if profiled != plain {
+				t.Fatalf("profiling changed stdout:\n--- plain\n%s\n--- profiled\n%s", plain, profiled)
+			}
+			for _, p := range []string{cpu, mem} {
+				if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+					t.Fatalf("profile %s missing or empty: %v", filepath.Base(p), err)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@
 //	hmgbench -fig 12 -scale 0.5 -v  # faster sweep with progress output
 //	hmgbench -fig all -jobs 8       # prewarm runs on 8 parallel workers
 //	hmgbench -fig all -cachedir ~/.cache/hmg  # persistent result store
+//	hmgbench -fig 8 -cpuprofile cpu.pprof     # profile the campaign
 //
 // Figures: 2, 3, 7, 8, 9, 10, 11, 12, 13, 14, granularity, downgrade,
 // writeback, gpmscope, scaling, toposcale, carve, locality, mca,
@@ -36,10 +37,16 @@ import (
 	"strings"
 
 	"hmg/internal/experiments"
+	"hmg/internal/profiling"
 	"hmg/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. It returns the exit status, so the
+// deferred profile writes happen on every path; failing to write a
+// requested profile fails an otherwise clean run.
+func run() (code int) {
 	names := strings.Join(experiments.FigureNames(), ",")
 	fig := flag.String("fig", "all", "figure to regenerate ("+names+",all)")
 	scale := flag.Float64("scale", 1.0, "workload scale in (0,1]")
@@ -50,12 +57,27 @@ func main() {
 	storeVersion := flag.Bool("storeversion", false, "print the campaign store's model-version stamp and exit")
 	verbose := flag.Bool("v", false, "log each simulation run and the campaign summary")
 	format := flag.String("format", "text", "output format: text, csv, or md")
+	cpuprofile := flag.String("cpuprofile", "", profiling.CPUUsage)
+	memprofile := flag.String("memprofile", "", profiling.MemUsage)
 	flag.Parse()
 
 	if *storeVersion {
 		fmt.Println(experiments.ModelVersion())
-		return
+		return 0
 	}
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
@@ -64,14 +86,14 @@ func main() {
 	spec, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	opts.Topo = spec
 	if *cachedir != "" {
 		st, err := experiments.OpenStore(*cachedir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		opts.Store = st
 	}
@@ -81,7 +103,7 @@ func main() {
 	r, err := experiments.NewRunner(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	want := strings.ToLower(*fig)
@@ -93,21 +115,21 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "hmgbench: unknown figure %q (known: %s,all)\n", *fig, names)
-		os.Exit(2)
+		return 2
 	}
 
 	// Prewarm the union of the selected figures' runs across the worker
 	// pool; generation below then reads the warm cache in order.
 	if err := r.Prewarm(experiments.PlanUnion(selected)); err != nil {
 		fmt.Fprintf(os.Stderr, "hmgbench: prewarm: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	for _, f := range selected {
 		t, err := f.Gen(r)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmgbench: figure %s: %v\n", f.Name, err)
-			os.Exit(1)
+			return 1
 		}
 		switch *format {
 		case "csv":
@@ -131,4 +153,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "campaign: %d unique runs, %d memo hits%s, %.1f Mcycles simulated, %.1f M events/s of run wall (%.1fs summed)\n",
 			s.UniqueRuns, s.MemoHits, disk, float64(s.SimCycles)/1e6, mevps, s.RunWall.Seconds())
 	}
+	return 0
 }

@@ -9,6 +9,7 @@
 //	hmgperf                              # run matrix, write BENCH_<date>.json
 //	hmgperf -o BENCH_baseline.json       # explicit output path
 //	hmgperf -against BENCH_baseline.json # compare mode: exit 1 on regression
+//	hmgperf -o /dev/null -cpuprofile cpu.pprof  # profile the matrix
 //
 // Compare mode fails hard on any drift in simulated cycles or event
 // counts (an optimization changed behavior — the determinism contract
@@ -37,6 +38,7 @@ import (
 
 	"hmg/internal/experiments"
 	"hmg/internal/gsim"
+	"hmg/internal/profiling"
 	"hmg/internal/proto"
 	"hmg/internal/resstore"
 	"hmg/internal/topo"
@@ -99,7 +101,12 @@ type Run struct {
 	MEventsPerSec  float64 `json:"mevents_per_sec"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. It returns the exit status, so the
+// deferred profile writes happen on every path; failing to write a
+// requested profile fails an otherwise clean run.
+func run() (code int) {
 	out := flag.String("o", "", "output file (default BENCH_<date>.json; empty in compare mode)")
 	against := flag.String("against", "", "baseline BENCH_*.json to compare against (compare mode)")
 	allocTol := flag.Float64("alloc-threshold", 0.02, "relative allocs/event growth tolerated before failing")
@@ -107,25 +114,41 @@ func main() {
 	sms := flag.Int("sms", 8, "modeled SMs per GPM (must match the baseline)")
 	topoFlag := flag.String("topo", "", topo.SpecFlagUsage+" (must match the baseline)")
 	cachedir := flag.String("cachedir", "", "campaign result store to cross-check cells against and write them back to")
+	cpuprofile := flag.String("cpuprofile", "", profiling.CPUUsage)
+	memprofile := flag.String("memprofile", "", profiling.MemUsage)
 	flag.Parse()
+
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	shape, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	var store *resstore.Store
 	if *cachedir != "" {
 		store, err = experiments.OpenStore(*cachedir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 	snap, err := runMatrix(*sms, shape, store)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	path := *out
@@ -136,12 +159,12 @@ func main() {
 		buf, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("wrote %s (%d runs)\n", path, len(snap.Runs))
 	}
@@ -150,12 +173,13 @@ func main() {
 		base, err := readSnapshot(*against)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmgperf: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if failed := compare(base, snap, *allocTol, *wallTol); failed {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // runMatrix executes every matrix cell once and measures it. Each cell

@@ -1,18 +1,23 @@
 // Package engine implements the discrete-event simulation kernel that
 // drives every timing model in this repository.
 //
-// The kernel is a single-threaded event loop over a monomorphic 4-ary
-// min-heap of scheduled callbacks, stored as a flat []event value slice
-// (no per-event heap object, no interface boxing). Components (caches,
-// links, DRAM partitions, SMs) never block; they schedule follow-up
-// events at future cycles. Ties at the same cycle are broken by
-// insertion order (a monotone sequence number), which makes simulations
-// fully deterministic for a given input.
+// The kernel is a single-threaded event loop over a timing wheel of
+// scheduled callbacks (queue.go). The wheel has one FIFO slot per cycle
+// for the next 1024 cycles, which covers nearly every delay the model
+// schedules; an event further out waits in a 4-ary min-heap, the
+// overflow path. Popping merges the wheel head with the heap top by (cycle,
+// sequence number). Components (caches, links, DRAM partitions, SMs)
+// never block; they schedule follow-up events at future cycles. Ties at
+// the same cycle are broken by insertion order (a monotone sequence
+// number), which makes simulations fully deterministic for a given
+// input. queue_test.go proves that order against a reference
+// container/heap engine, and wheel_test.go proves it again across the
+// wheel's window edge and the overflow heap.
 //
 // Every event is a Handler. Steady-state scheduling is allocation-free:
-// the event slice is grown once and reused, and hot callers can avoid
-// closure allocation entirely by scheduling a reusable Handler (see
-// ScheduleHandler) drawn from their own free list.
+// the wheel's node pool and the heap's slice are grown once and reused,
+// and hot callers can avoid closure allocation entirely by scheduling a
+// reusable Handler (see ScheduleHandler) drawn from their own free list.
 //
 // Cycles are the only unit of time inside a simulation. The Engine knows
 // the clock frequency solely so that results can be reported in seconds
@@ -46,93 +51,6 @@ type Handler interface {
 type funcHandler func()
 
 func (f funcHandler) Handle() { f() }
-
-// event is a unit of scheduled work, stored by value in the queue. Its
-// handler runs exactly once, at the event's cycle.
-type event struct {
-	at  Cycle
-	seq uint64
-	h   Handler
-}
-
-// before is the strict ordering of the event queue: time, then
-// insertion order within a cycle (same-cycle FIFO).
-func (ev *event) before(other *event) bool {
-	if ev.at != other.at {
-		return ev.at < other.at
-	}
-	return ev.seq < other.seq
-}
-
-// eventQueue is a 4-ary min-heap over event values. A 4-ary layout
-// halves the tree depth of a binary heap, trading a slightly wider
-// min-child scan (cheap: the children share a cache line or two) for
-// fewer levels of sift memory traffic — the classic d-ary heap tradeoff
-// that favors push/pop-heavy discrete-event loops. The backing slice is
-// the event free list: pops shrink the length but keep capacity, so a
-// warmed-up queue never allocates again.
-type eventQueue struct {
-	evs []event
-}
-
-func (q *eventQueue) len() int { return len(q.evs) }
-
-// push appends ev and restores the heap order by sifting it up.
-//
-//lint:allow hotalloc free-list append; growth is amortized and the backing array is reused in steady state
-func (q *eventQueue) push(ev event) {
-	q.evs = append(q.evs, ev)
-	i := len(q.evs) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !q.evs[i].before(&q.evs[parent]) {
-			break
-		}
-		q.evs[i], q.evs[parent] = q.evs[parent], q.evs[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the queue never pins dead closures or contexts for the
-// garbage collector.
-func (q *eventQueue) pop() event {
-	root := q.evs[0]
-	n := len(q.evs) - 1
-	q.evs[0] = q.evs[n]
-	q.evs[n] = event{}
-	q.evs = q.evs[:n]
-	if n > 1 {
-		q.siftDown(0)
-	}
-	return root
-}
-
-// siftDown restores heap order below index i.
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.evs)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.evs[c].before(&q.evs[min]) {
-				min = c
-			}
-		}
-		if !q.evs[min].before(&q.evs[i]) {
-			return
-		}
-		q.evs[i], q.evs[min] = q.evs[min], q.evs[i]
-		i = min
-	}
-}
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // New.
@@ -254,9 +172,12 @@ func (e *Engine) Run(horizon Cycle) Cycle {
 		if e.queue.len() == 0 {
 			return e.now
 		}
-		if e.queue.evs[0].at > horizon {
+		if e.queue.peek().at > horizon {
 			if horizon > e.now {
 				e.now = horizon
+				// Every pending event is after horizon, so the wheel's
+				// window can follow the clock across the idle tail.
+				e.queue.advance(horizon)
 			}
 			return e.now
 		}

@@ -322,7 +322,8 @@ func TestRunHorizonAdvancesNow(t *testing.T) {
 
 // TestScheduleSteadyStateZeroAlloc pins the zero-alloc contract: once
 // the queue storage is warm, Schedule with a preallocated callback plus
-// dispatch allocates nothing, and neither does the pooled-handler path.
+// dispatch allocates nothing, and neither does the pooled-handler path,
+// with or without events beyond the wheel's window.
 func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	e := New(0)
 	fn := func() {}
@@ -349,6 +350,22 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if h.n == 0 {
 		t.Fatal("handler never dispatched")
+	}
+	// A mix with events past the wheel's window exercises the overflow
+	// heap; its storage is warm after the same mix ran once.
+	overflowMix := func() {
+		for i := 0; i < 64; i++ {
+			d := Cycle(i % 16)
+			if i%8 == 0 {
+				d += 2 * wheelSize
+			}
+			e.ScheduleHandler(d, h)
+		}
+		e.Drain()
+	}
+	overflowMix()
+	if allocs := testing.AllocsPerRun(200, overflowMix); allocs != 0 {
+		t.Fatalf("steady-state ScheduleHandler+Drain with overflow events allocated %v objects per run, want 0", allocs)
 	}
 }
 

@@ -103,7 +103,7 @@ func (w *warpCtx) tryIssue() {
 
 // issue dispatches one op into the memory system.
 //
-//lint:allow hotalloc per-op observe/completion closures; allocation budget gated by the hmgperf allocs/event baseline
+//lint:allow hotalloc per-op load/release/atomic completion closures; allocation budget gated by the hmgperf allocs/event baseline
 func (w *warpCtx) issue(op trace.Op) {
 	sm := w.sm
 	sys := sm.sys
@@ -112,14 +112,6 @@ func (w *warpCtx) issue(op trace.Op) {
 	sm.inflight++
 	// First touch places the page on the accessing GPM.
 	sys.Pages.Touch(op.Addr, sm.gpm)
-	observe := func(v uint64) {
-		if sys.OnLoadValue != nil {
-			sys.OnLoadValue(sm.id, op, v)
-		}
-		sys.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
-			Line: sys.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
-			Scope: op.Scope, Op: op.Kind, Val: v})
-	}
 	switch op.Kind {
 	case trace.Load:
 		sys.loads++
@@ -130,7 +122,7 @@ func (w *warpCtx) issue(op trace.Op) {
 			if lat > sys.maxLoadLat {
 				sys.maxLoadLat = lat
 			}
-			observe(v)
+			sm.loadDone(op, v)
 			w.opDone()
 		})
 	case trace.LoadAcq:
@@ -138,7 +130,7 @@ func (w *warpCtx) issue(op trace.Op) {
 		w.blocked = true
 		sm.acquireInvalidate(op.Scope)
 		sm.startLoad(op, true, func(v uint64) {
-			observe(v)
+			sm.loadDone(op, v)
 			w.blocked = false
 			w.opDone()
 		})
@@ -165,6 +157,18 @@ func (w *warpCtx) issue(op trace.Op) {
 			w.opDone()
 		})
 	}
+}
+
+// loadDone reports a completed load's value to the OnLoadValue hook
+// and the event layer.
+func (sm *SM) loadDone(op trace.Op, v uint64) {
+	sys := sm.sys
+	if sys.OnLoadValue != nil {
+		sys.OnLoadValue(sm.id, op, v)
+	}
+	sys.emit(Event{Kind: EvLoadDone, GPM: sm.gpm, SM: sm.id,
+		Line: sys.Cfg.Topo.LineOf(op.Addr), Addr: op.Addr,
+		Scope: op.Scope, Op: op.Kind, Val: v})
 }
 
 // acquireInvalidate applies the protocol's acquire actions for the given
