@@ -212,25 +212,23 @@ func TestWBReducesStoreTraffic(t *testing.T) {
 	}
 }
 
-// TestWriteWalkRoutes drives write-through stores and write-backs down
-// every route of the shared write walk: issued at the system home, at a
-// GPU home, through a GPU home, and flat to the system home. Under NHCC
-// there are no GPU homes, so the last three all route flat. Each case
-// checks the home DRAM value, the directory sharers at each home, and
-// that the writer's store gates were charged and drained.
+// TestWriteWalkRoutes drives every home-side walk down every route: a
+// write-through store, a write-back, .gpu and .sys loads, and .gpu and
+// .sys atomics, each issued at the system home, at a GPU home, through a
+// GPU home, and flat to the system home. Under NHCC there are no GPU
+// homes, so the last three all route flat. Each case checks the value
+// the op saw (loads and atomics) or left in the home DRAM, the directory
+// sharers at each home, that the issuing SM's store gates were charged
+// and drained, and that no fetch or line lock is left outstanding.
 func TestWriteWalkRoutes(t *testing.T) {
 	const addr, val = 0, 42
 	for _, k := range []proto.Kind{proto.NHCC, proto.HMG} {
-		for _, wb := range []bool{false, true} {
+		for _, opName := range []string{"store", "writeback", "load-gpu", "load-sys", "atomic-gpu", "atomic-sys"} {
 			for _, route := range []string{"at-sys-home", "at-gpu-home", "via-gpu-home", "flat"} {
-				k, wb, route := k, wb, route
-				name := k.String() + "/store/" + route
-				if wb {
-					name = k.String() + "/writeback/" + route
-				}
-				t.Run(name, func(t *testing.T) {
+				k, opName, route := k, opName, route
+				t.Run(k.String()+"/"+opName+"/"+route, func(t *testing.T) {
 					cfg := tinyConfig(k)
-					cfg.WriteBack = wb
+					cfg.WriteBack = opName == "writeback"
 					s, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -251,13 +249,42 @@ func TestWriteWalkRoutes(t *testing.T) {
 					case "flat":
 						writer = 1
 					}
-					ops := []trace.Op{{Kind: trace.Store, Addr: addr, Val: val}}
-					if wb {
+					var ops []trace.Op
+					switch opName {
+					case "store":
+						ops = []trace.Op{{Kind: trace.Store, Addr: addr, Val: val}}
+					case "writeback":
 						// Cache the line first so the store is absorbed as
 						// dirty data; the kernel-end flush writes it back.
 						ops = []trace.Op{
 							{Kind: trace.Load, Addr: addr},
 							{Kind: trace.Store, Addr: addr, Val: val, Gap: 100000},
+						}
+					case "load-gpu":
+						ops = []trace.Op{{Kind: trace.Load, Scope: trace.ScopeGPU, Addr: addr}}
+					case "load-sys":
+						ops = []trace.Op{{Kind: trace.Load, Scope: trace.ScopeSys, Addr: addr}}
+					case "atomic-gpu":
+						ops = []trace.Op{{Kind: trace.Atomic, Scope: trace.ScopeGPU, Addr: addr}}
+					case "atomic-sys":
+						ops = []trace.Op{{Kind: trace.Atomic, Scope: trace.ScopeSys, Addr: addr}}
+					}
+					isLoad := opName == "load-gpu" || opName == "load-sys"
+					isAtomic := opName == "atomic-gpu" || opName == "atomic-sys"
+					if isLoad || isAtomic {
+						// Loads and atomics read a value already in memory;
+						// an atomic with no operand adds 1.
+						s.GPMs[0].DRAM.StoreValue(addr, val)
+					}
+					var loaded, applied []uint64
+					s.OnLoadValue = func(_ topo.SMID, op trace.Op, v uint64) {
+						if op.Addr == addr {
+							loaded = append(loaded, v)
+						}
+					}
+					s.OnEvent = func(ev Event) {
+						if ev.Kind == EvAtomicApply {
+							applied = append(applied, ev.Val)
 						}
 					}
 					kern := trace.Kernel{CTAs: make([]trace.CTA, 4)}
@@ -266,19 +293,48 @@ func TestWriteWalkRoutes(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					if got := s.GPMs[0].DRAM.LoadValue(addr); got != val {
-						t.Fatalf("system-home DRAM = %d, want %d", got, val)
+					wantDRAM := uint64(val)
+					switch {
+					case isLoad:
+						if len(loaded) != 1 || loaded[0] != val {
+							t.Fatalf("loaded values %v, want [%d]", loaded, val)
+						}
+					case isAtomic:
+						// EvAtomicApply carries the new value: old + 1.
+						if len(applied) != 1 || applied[0] != val+1 {
+							t.Fatalf("atomic applied %v, want [%d] (old value %d + 1)", applied, val+1, val)
+						}
+						wantDRAM = val + 1
 					}
-					// A remote write leaves its writer as the only sharer:
-					// the writer's GPU at an HMG system home outside it, the
-					// writer's GPM at a GPU home or a flat home.
+					if got := s.GPMs[0].DRAM.LoadValue(addr); got != wantDRAM {
+						t.Fatalf("system-home DRAM = %d, want %d", got, wantDRAM)
+					}
+
+					// Sharers: a write leaves its remote writer as the only
+					// sharer: the writer's GPU at an HMG system home outside
+					// it, the writer's GPM at a GPU home or a flat home. A
+					// .sys atomic skips the GPU home. .gpu and .sys loads do
+					// not fill the requester's slice, so only HMG's GPU home
+					// tracks anything: it records its GPU at the system home
+					// when it fetches for a .gpu load, and records a sibling
+					// requester although that requester does not cache.
 					var wantSys, wantGPU directory.Sharers
 					hier := k == proto.HMG
+					inGPU1 := s.Cfg.Topo.GPUOf(writer) == 1
+					sibling := writer != gpuHome
 					switch {
 					case writer == 0:
-					case hier && s.Cfg.Topo.GPUOf(writer) == 1:
+					case opName == "load-sys", opName == "load-gpu" && !hier:
+					case opName == "load-gpu":
+						if inGPU1 {
+							wantSys = directory.GPUBit(1)
+							if sibling {
+								wantGPU = directory.GPMBit(s.Cfg.Topo.LocalOf(writer))
+							}
+						}
+					case hier && inGPU1:
 						wantSys = directory.GPUBit(1)
-						if writer != gpuHome {
+						if sibling && opName != "atomic-sys" {
 							wantGPU = directory.GPMBit(s.Cfg.Topo.LocalOf(writer))
 						}
 					case hier:
@@ -302,17 +358,26 @@ func TestWriteWalkRoutes(t *testing.T) {
 						checkSharers(gpuHome, wantGPU)
 					}
 
-					// The store charges the writer's gates once, and its
-					// write-back once more.
-					wantStarted := uint64(1)
-					if wb {
+					// A store or atomic charges the issuer's gates once, a
+					// write-back once more, and a load not at all.
+					var wantStarted uint64
+					switch {
+					case opName == "writeback":
 						wantStarted = 2
+					case !isLoad:
+						wantStarted = 1
 					}
 					sm := s.SMs[s.Cfg.Topo.SM(writer, 0)]
 					for _, g := range []*drain{&sm.gpuHomeGate, &sm.sysHomeGate} {
 						if g.started != wantStarted || g.Pending() != 0 {
 							t.Fatalf("writer gate started %d (want %d), pending %d (want 0)",
 								g.started, wantStarted, g.Pending())
+						}
+					}
+					for _, gpm := range s.GPMs {
+						if len(gpm.mshr) != 0 || len(gpm.pendingLines) != 0 || len(gpm.atomicQ) != 0 {
+							t.Fatalf("GPM %d left %d MSHR entries, %d pending lines, %d locked lines",
+								gpm.id, len(gpm.mshr), len(gpm.pendingLines), len(gpm.atomicQ))
 						}
 					}
 				})
