@@ -9,12 +9,6 @@ import (
 	"hmg/internal/trace"
 )
 
-// Message kind aliases used by the SM layer.
-const (
-	relFenceKind = msg.RelFence
-	relAckKind   = msg.RelAck
-)
-
 // fillData is the sparse word-value payload of a load response. It is
 // nil when value tracking is off. Receivers only read it.
 type fillData map[uint16]uint64
@@ -90,78 +84,49 @@ func (sm *SM) loadAfterL1Miss(op trace.Op, line topo.Line, word uint16, l1OK boo
 }
 
 // requesterL2Load handles a load at the requesting GPM's L2 slice and
-// routes misses up the home hierarchy. reply receives the response line
-// data once it has been installed in this GPM's L2 (when permitted).
-//
-//lint:allow hotalloc per-op reply/forward continuations; budget gated by the hmgperf allocs/event baseline
+// routes misses up the home hierarchy. The first home is the GPU home
+// under hierarchical policies, for loads scoped .gpu or narrower, and
+// the system home otherwise. reply receives the response line data once
+// it has been installed in this GPM's L2 (when permitted).
 func (s *System) requesterL2Load(sm *SM, op trace.Op, line topo.Line, reply func(fillData)) {
 	g := sm.gpm
 	scope := s.effScope(op.Scope)
-	sysHome := s.Pages.SysHome(line)
-	hier := s.Cfg.Policy.Hierarchical
-	gpuHome := sysHome
-	if hier {
-		gpuHome = s.Pages.GPUHome(sm.gpu, line)
+	h := s.Pages.SysHome(line)
+	if s.Cfg.Policy.Hierarchical && scope <= trace.ScopeGPU {
+		h = s.Pages.GPUHome(sm.gpu, line)
 	}
-	cacheable := s.cacheableAt(g, line)
 	// The requester may fill its own L2 with the response for loads of
 	// .gpm scope or weaker (the GPM-local slice is the .gpm coherence
 	// point) on cacheable lines.
-	fillHere := scope <= trace.ScopeGPM && cacheable
-
-	if g == sysHome {
-		// Local load at the system home: Table I takes no action.
-		s.sysHomeLoad(g, proto.GPMRequester(int(g)), false, line, reply)
-		return
-	}
-	if hier && g == gpuHome && gpuHome != sysHome && scope <= trace.ScopeGPU {
-		// This GPM is the GPU home node for the line.
-		s.gpuHomeLoad(g, g, op, line, reply)
-		return
-	}
-	proceed := func() {
-		if scope == trace.ScopeSys || !hier || gpuHome == sysHome {
-			// Route directly to the system home. Track the requester only
-			// if it will cache the response.
-			track := fillHere && s.Cfg.Policy.Hardware
-			s.fetchLine(g, sysHome, op, line, s.flatRequester(g, sysHome), track, fillHere, reply)
-			return
-		}
-		// Hierarchical: route via the GPU home node.
-		s.fetchLine(g, gpuHome, op, line, proto.Requester{}, false, fillHere, reply)
-	}
-	if fillHere {
-		// Probe the local slice before going out.
+	fill := scope <= trace.ScopeGPM && s.cacheableAt(g, line)
+	switch {
+	case g == h:
+		s.homeLoad(h, g, fill, line, reply)
+	case fill:
+		// Probe the local slice before going out (stageRequesterProbe).
 		c := s.newCtx(stageRequesterProbe)
-		c.g, c.line, c.reply, c.next = g, line, reply, proceed
+		c.g, c.from, c.line, c.reply = h, g, line, reply
 		s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
-		return
+	default:
+		s.fetchLine(g, h, fill, line, reply)
 	}
-	proceed()
 }
 
 // fetchLine is one remote fetch round from GPM g to home h: a LoadReq
 // out, the home's load stage, and a DataResp back that fills g's slice
-// (when fill is set) before reply sees the data. A home other than the
-// line's system home is a GPU home, which records g itself; the system
-// home records req when track is set. A round that fills g's slice
-// merges with concurrent misses in g's MSHRs.
+// (when fill is set) before reply sees the data. A round that fills g's
+// slice merges with concurrent misses in g's MSHRs.
 //
 //lint:allow hotalloc per-round request/response continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) fetchLine(g, h topo.GPMID, op trace.Op, line topo.Line, req proto.Requester, track, fill bool, reply func(fillData)) {
+func (s *System) fetchLine(g, h topo.GPMID, fill bool, line topo.Line, reply func(fillData)) {
 	round := func(done func(fillData)) {
 		s.send(g, h, msg.LoadReq, func() {
-			back := func(data fillData) {
+			s.homeLoad(h, g, fill, line, func(data fillData) {
 				s.send(h, g, msg.DataResp, func() {
 					s.fillL2(g, line, data, fill)
 					done(data)
 				})
-			}
-			if h != s.Pages.SysHome(line) {
-				s.gpuHomeLoad(h, g, op, line, back)
-				return
-			}
-			s.sysHomeLoad(h, req, track, line, back)
+			})
 		})
 	}
 	if fill {
@@ -171,92 +136,74 @@ func (s *System) fetchLine(g, h topo.GPMID, op trace.Op, line topo.Line, req pro
 	round(reply)
 }
 
-// flatRequester encodes the requester for a system-home directory under
-// flat protocols (global GPM id) or, under HMG, for a requester inside
-// the owner GPU (local module index) or outside it (GPU id).
-func (s *System) flatRequester(g, sysHome topo.GPMID) proto.Requester {
+// requesterAt encodes requesting GPM from for home h's directory: the
+// global GPM id under flat protocols; under hierarchical ones, the
+// module index for a requester inside h's GPU and the GPU id outside it.
+// A GPU home that is not the system home lies outside the line's owner
+// GPU, so its forward to the system home encodes as its GPU.
+func (s *System) requesterAt(from, h topo.GPMID) proto.Requester {
 	if !s.Cfg.Policy.Hierarchical {
-		return proto.GPMRequester(int(g))
+		return proto.GPMRequester(int(from))
 	}
-	if s.Cfg.Topo.SameGPU(g, sysHome) {
-		return proto.GPMRequester(s.Cfg.Topo.LocalOf(g))
+	if s.Cfg.Topo.SameGPU(from, h) {
+		return proto.GPMRequester(s.Cfg.Topo.LocalOf(from))
 	}
-	return proto.GPURequester(int(s.Cfg.Topo.GPUOf(g)))
+	return proto.GPURequester(int(s.Cfg.Topo.GPUOf(from)))
 }
 
-// gpuHomeLoad handles a load at a GPU home node that is not the system
-// home (hierarchical policies only). fromGPM is the requesting module of
-// the same GPU (possibly the home itself). Concurrent misses merge in
-// the home's MSHRs; each still records its requester in the directory at
-// request arrival.
-func (s *System) gpuHomeLoad(h, fromGPM topo.GPMID, op trace.Op, line topo.Line, reply func(fillData)) {
-	gpm := s.gpmOf(h)
-	// Record the requesting GPM at request time; the system home will
-	// only ever learn the GPU.
-	if gpm.Dir != nil && fromGPM != h {
-		evR, evT := gpm.Dir.RemoteLoad(line, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)))
-		s.sendInvs(gpm, evR, evT)
-	}
-	c := s.newCtx(stageGPUHomeLoad)
-	c.g, c.op, c.line, c.reply = h, op, line, reply
-	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
-}
-
-// gpuHomeLoadAtL2 is the GPU-home continuation of gpuHomeLoad one L2
-// latency after request arrival: home L2 lookup, then a merged fetch
-// from the system home on a miss. The fetch carries only the GPU id; the
-// GPU home caches the response on behalf of its whole GPU.
-func (s *System) gpuHomeLoadAtL2(h topo.GPMID, op trace.Op, line topo.Line, reply func(fillData)) {
-	gpm := s.gpmOf(h)
-	if s.effScope(op.Scope) <= trace.ScopeGPU {
-		if e, hit := gpm.L2.Lookup(line); hit {
-			reply(e.Data)
-			return
-		}
-	}
-	s.fetchLine(h, s.Pages.SysHome(line), op, line, proto.GPURequester(int(gpm.gpu)), true, true, reply)
-}
-
-// sysHomeLoad handles a load at the system home node: hit in the home L2
-// or fetch from the local DRAM partition. When track is set the
-// requester is recorded as a sharer (Table I remote load).
+// homeLoad handles a load from GPM from at its home h. Under
+// multi-copy atomicity it first waits behind a store that holds the
+// line while its invalidations are acknowledged; the waiter hands the
+// lock straight on, so the load itself never holds it.
 //
 //lint:allow hotalloc MCA reply continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeLoad(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, reply func(fillData)) {
+func (s *System) homeLoad(h, from topo.GPMID, fill bool, line topo.Line, reply func(fillData)) {
 	if s.Cfg.Policy.MCA {
-		// Multi-copy-atomicity: reads of a line with a store awaiting
-		// invalidation acknowledgments must wait behind it.
-		gpm := s.gpmOf(sh)
+		gpm := s.gpmOf(h)
 		gpm.lockLine(line, func() {
 			gpm.unlockLine(line)
-			s.sysHomeLoadUnlocked(sh, req, track, line, reply)
+			s.homeLoadUnlocked(h, from, fill, line, reply)
 		})
 		return
 	}
-	s.sysHomeLoadUnlocked(sh, req, track, line, reply)
+	s.homeLoadUnlocked(h, from, fill, line, reply)
 }
 
-func (s *System) sysHomeLoadUnlocked(sh topo.GPMID, req proto.Requester, track bool, line topo.Line, reply func(fillData)) {
-	gpm := s.gpmOf(sh)
-	if gpm.Dir != nil && track {
-		evR, evT := gpm.Dir.RemoteLoad(line, req)
+// homeLoadUnlocked is a load's arrival at home h, one L2 latency before
+// the home's lookup (homeLine). A remote requester becomes a sharer
+// (Table I remote load) when it will cache the response (fill); a GPU
+// home records every remote requester of its GPU. Concurrent misses
+// merge in the home's MSHRs.
+//
+// The CARVE classification applies only at system homes, and so does
+// the MCA lock above: proto.For makes GPU-VI-MCA and CARVE flat, with no
+// GPU homes.
+func (s *System) homeLoadUnlocked(h, from topo.GPMID, fill bool, line topo.Line, reply func(fillData)) {
+	gpm := s.gpmOf(h)
+	if gpm.Dir != nil && from != h && (fill || h != s.Pages.SysHome(line)) {
+		evR, evT := gpm.Dir.RemoteLoad(line, s.requesterAt(from, h))
 		s.sendInvs(gpm, evR, evT)
 	}
-	if gpm.classes != nil && !req.IsGPU {
-		s.classifyLoad(gpm, line, topo.GPMID(req.ID))
+	if gpm.classes != nil {
+		s.classifyLoad(gpm, line, from)
 	}
-	c := s.newCtx(stageSysHomeLoad)
-	c.g, c.line, c.reply = sh, line, reply
+	c := s.newCtx(stageHomeLoad)
+	c.g, c.line, c.reply = h, line, reply
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeLoadAtL2 is the system-home continuation of a load one L2
-// latency after request arrival: home L2 lookup, then a DRAM fill on a
-// miss.
-func (s *System) sysHomeLoadAtL2(sh topo.GPMID, line topo.Line, reply func(fillData)) {
-	gpm := s.gpmOf(sh)
+// homeLine is the lookup of a load or atomic at home gpm one L2 latency
+// after request arrival: a hit in the home's slice, or else a fetch from
+// the level above, the DRAM partition at the system home and the system
+// home at a GPU home. The GPU home caches the response on behalf of its
+// whole GPU.
+func (s *System) homeLine(gpm *GPM, line topo.Line, reply func(fillData)) {
 	if e, hit := gpm.L2.Lookup(line); hit {
 		reply(e.Data)
+		return
+	}
+	if sysHome := s.Pages.SysHome(line); gpm.id != sysHome {
+		s.fetchLine(gpm.id, sysHome, true, line, reply)
 		return
 	}
 	s.dramFill(gpm, line, reply)
@@ -317,18 +264,14 @@ func (s *System) fillL2(g topo.GPMID, line topo.Line, fill fillData, allowed boo
 //
 //lint:allow hotalloc downgrade delivery continuation; budget gated by the hmgperf allocs/event baseline
 func (s *System) sendDowngrade(g topo.GPMID, line topo.Line) {
-	sysHome := s.Pages.SysHome(line)
-	home := sysHome
+	home := s.Pages.SysHome(line)
 	if s.Cfg.Policy.Hierarchical {
 		home = s.Pages.GPUHome(s.Cfg.Topo.GPUOf(g), line)
 	}
 	if home == g {
 		return // the home itself holds no sharer entry for itself
 	}
-	req := proto.GPMRequester(int(g))
-	if s.Cfg.Policy.Hierarchical {
-		req = proto.GPMRequester(s.Cfg.Topo.LocalOf(g))
-	}
+	req := s.requesterAt(g, home)
 	s.send(g, home, msg.Downgrade, func() {
 		if d := s.gpmOf(home).Dir; d != nil {
 			d.DropSharer(line, req)
@@ -409,21 +352,23 @@ func (w *write) finishGates() {
 	w.sm.sysHomeGate.Finish()
 }
 
-// routeWrite sends a write from GPM g toward its homes: straight to the
-// system home, or first to the GPU home under hierarchical policies
-// when the two differ. A store also updates g's own slice copy (and
-// poisons any in-flight fill, which would otherwise install pre-store
-// data) unless g is one of the homes.
+// routeWrite sends a write from GPM g toward its homes: first to the GPU
+// home under hierarchical policies (the system home itself inside the
+// owner GPU), else straight to the system home. A store also updates
+// g's own slice copy (and poisons any in-flight fill, which would
+// otherwise install pre-store data) unless g is that first home.
 //
-//lint:allow hotalloc per-write delivery continuations; budget gated by the hmgperf allocs/event baseline
+//lint:allow hotalloc per-write delivery continuation; budget gated by the hmgperf allocs/event baseline
 func (s *System) routeWrite(g topo.GPMID, w write) {
-	sysHome := s.Pages.SysHome(w.line)
-	hier := s.Cfg.Policy.Hierarchical
-	gpuHome := sysHome
-	if hier {
-		gpuHome = s.Pages.GPUHome(s.Cfg.Topo.GPUOf(g), w.line)
+	h := s.Pages.SysHome(w.line)
+	if s.Cfg.Policy.Hierarchical {
+		h = s.Pages.GPUHome(s.Cfg.Topo.GPUOf(g), w.line)
 	}
-	if w.isStore() && g != sysHome && g != gpuHome {
+	if g == h {
+		s.homeWrite(h, g, w)
+		return
+	}
+	if w.isStore() {
 		if e, hit := s.gpmOf(g).L2.Peek(w.line); hit {
 			if s.Cfg.TrackValues {
 				e.SetValue(w.word, w.op.Val)
@@ -432,92 +377,67 @@ func (s *System) routeWrite(g topo.GPMID, w write) {
 			s.gpmOf(g).poisonLine(w.line)
 		}
 	}
-	switch {
-	case g == sysHome:
-		s.sysHomeWrite(g, proto.Requester{}, true, w)
-	case hier && g == gpuHome && gpuHome != sysHome:
-		s.gpuHomeWrite(g, g, w)
-	case hier && gpuHome != sysHome:
-		s.send(g, gpuHome, w.kind, func() { s.gpuHomeWrite(gpuHome, g, w) })
-	default:
-		// Flat protocols, or the owner GPU where the GPU home node and
-		// the system home node coincide.
-		req := s.flatRequester(g, sysHome)
-		s.send(g, sysHome, w.kind, func() { s.sysHomeWrite(sysHome, req, false, w) })
-	}
+	s.send(g, h, w.kind, func() { s.homeWrite(h, g, w) })
 }
 
-// gpuHomeWrite processes a write at a GPU home node that is not the
-// system home, one L2 latency after arrival (gpuHomeWriteAtL2).
-func (s *System) gpuHomeWrite(h, fromGPM topo.GPMID, w write) {
-	c := s.newCtx(stageGPUHomeWrite)
-	c.g, c.from, c.wr = h, fromGPM, w
-	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
-}
-
-// gpuHomeWriteAtL2 applies a write at a GPU home: the Table I store
-// transition, the home-copy update, the GPU-home gate release, and the
-// forward to the system home carrying only the GPU id.
-//
-//lint:allow hotalloc write-forward continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) gpuHomeWriteAtL2(h, fromGPM topo.GPMID, w write) {
-	gpm := s.gpmOf(h)
-	sysHome := s.Pages.SysHome(w.line)
-	s.homeStore(gpm, w.line, fromGPM == h, proto.GPMRequester(s.Cfg.Topo.LocalOf(fromGPM)))
-	s.applyWrite(gpm, &w, false)
-	w.sm.gpuHomeGate.Finish()
-	w.gpuDone = true
-	s.send(h, sysHome, w.kind, func() {
-		s.sysHomeWrite(sysHome, proto.GPURequester(int(gpm.gpu)), false, w)
-	})
-}
-
-// sysHomeWrite processes a write at its system home one L2 latency after
-// arrival (sysHomeWriteAtL2, or sysHomeStoreMCA for a store under
-// multi-copy atomicity). local marks writes issued by the home GPM
-// itself.
-func (s *System) sysHomeWrite(sh topo.GPMID, req proto.Requester, local bool, w write) {
+// homeWrite processes a write from GPM from at its home h one L2 latency
+// after arrival (homeWriteAtL2, or sysHomeStoreMCA for a store under
+// multi-copy atomicity, whose protocol has no GPU homes).
+func (s *System) homeWrite(h, from topo.GPMID, w write) {
 	if s.Cfg.Policy.MCA && w.isStore() {
-		s.sysHomeStoreMCA(sh, req, local, w)
+		s.sysHomeStoreMCA(h, from, w)
 		return
 	}
-	c := s.newCtx(stageSysHomeWrite)
-	c.g, c.req, c.flag, c.wr = sh, req, local, w
+	c := s.newCtx(stageHomeWrite)
+	c.g, c.from, c.wr = h, from, w
 	s.Eng.ScheduleHandler(s.Cfg.L2Latency, c)
 }
 
-// sysHomeWriteAtL2 applies a write at its system home: CARVE
-// classification of a store, the Table I store transition, the
-// home-copy and DRAM update, and the gate release.
-func (s *System) sysHomeWriteAtL2(sh topo.GPMID, req proto.Requester, local bool, w write) {
-	gpm := s.gpmOf(sh)
-	if gpm.classes != nil && w.isStore() {
-		accessor := topo.GPMID(req.ID)
-		if local {
-			accessor = sh
-		}
-		if s.classifyStore(gpm, w.line, accessor) {
-			s.broadcastInv(gpm, w.line)
-		}
+// homeWriteAtL2 applies a write at home h: CARVE classification of a
+// store (system homes only: CARVE is flat), the Table I store
+// transition, and the home-copy update. The system home also writes
+// DRAM and releases the write's gates; a GPU home releases the GPU-home
+// gate and forwards the write to the system home.
+func (s *System) homeWriteAtL2(h, from topo.GPMID, w write) {
+	gpm := s.gpmOf(h)
+	if gpm.classes != nil && w.isStore() && s.classifyStore(gpm, w.line, from) {
+		s.broadcastInv(gpm, w.line)
 	}
-	s.homeStore(gpm, w.line, local, req)
-	s.applyWrite(gpm, &w, true)
-	w.finishGates()
+	s.homeStore(gpm, from, w.line)
+	atSys := h == s.Pages.SysHome(w.line)
+	s.applyWrite(gpm, &w, atSys)
+	if atSys {
+		w.finishGates()
+		return
+	}
+	w.sm.gpuHomeGate.Finish()
+	s.forwardWrite(h, w)
 }
 
-// homeStore applies the Table I store transition at a home directory:
-// the home's own store invalidates the other sharers; a remote store
-// also records req, whose insertion may evict an entry whose sharers are
-// invalidated too.
-func (s *System) homeStore(gpm *GPM, line topo.Line, local bool, req proto.Requester) {
+// forwardWrite sends a write that GPU home h has applied, and whose
+// GPU-home gate is released, on to the system home, which sees the
+// whole GPU as its requester.
+//
+//lint:allow hotalloc write-forward continuation; budget gated by the hmgperf allocs/event baseline
+func (s *System) forwardWrite(h topo.GPMID, w write) {
+	w.gpuDone = true
+	sysHome := s.Pages.SysHome(w.line)
+	s.send(h, sysHome, w.kind, func() { s.homeWrite(sysHome, h, w) })
+}
+
+// homeStore applies the Table I store transition for a write from GPM
+// from at home gpm's directory: the home's own store invalidates the
+// other sharers; a remote store also records its requester, whose
+// insertion may evict an entry whose sharers are invalidated too.
+func (s *System) homeStore(gpm *GPM, from topo.GPMID, line topo.Line) {
 	if gpm.Dir == nil {
 		return
 	}
-	if local {
+	if from == gpm.id {
 		s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), gpm.Dir.LocalStore(line))
 		return
 	}
-	inv, evR, evT := gpm.Dir.RemoteStore(line, req)
+	inv, evR, evT := gpm.Dir.RemoteStore(line, s.requesterAt(from, gpm.id))
 	s.sendInvs(gpm, gpm.Dir.Dir.RegionOf(line), inv)
 	s.sendInvs(gpm, evR, evT)
 }
@@ -607,10 +527,8 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 			}
 		}
 		s.send(from.id, dest, msg.Inv, func() {
+			s.deliverInv(dest, line, gran)
 			d := s.gpmOf(dest)
-			d.L2.InvalidateRegion(line, gran)
-			d.poisonRegion(line, gran)
-			s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
 			if !forward || d.Dir == nil {
 				finish()
 				return
@@ -625,9 +543,7 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 			for _, ft := range fw {
 				dest2 := s.Cfg.Topo.GPM(d.gpu, ft.ID)
 				s.send(dest, dest2, msg.Inv, func() {
-					s.gpmOf(dest2).L2.InvalidateRegion(line, gran)
-					s.gpmOf(dest2).poisonRegion(line, gran)
-					s.emit(Event{Kind: EvInvDeliver, GPM: dest2, SM: NoSM, Line: line, Aux: gran})
+					s.deliverInv(dest2, line, gran)
 					remaining--
 					if remaining == 0 {
 						finish()
@@ -636,6 +552,16 @@ func (s *System) sendInvs(from *GPM, region directory.Region, targets []proto.In
 			}
 		})
 	}
+}
+
+// deliverInv lands an invalidation of the gran-line region starting at
+// line on GPM dest: the slice drops the region, and any fill in flight
+// for it is poisoned.
+func (s *System) deliverInv(dest topo.GPMID, line topo.Line, gran int) {
+	d := s.gpmOf(dest)
+	d.L2.InvalidateRegion(line, gran)
+	d.poisonRegion(line, gran)
+	s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
 }
 
 // sendInvsAcked dispatches invalidations like sendInvs but additionally
@@ -655,10 +581,7 @@ func (s *System) sendInvsAcked(from *GPM, region directory.Region, targets []pro
 	for _, t := range targets {
 		dest := s.invDest(from, t, line)
 		s.send(from.id, dest, msg.Inv, func() {
-			d := s.gpmOf(dest)
-			d.L2.InvalidateRegion(line, gran)
-			d.poisonRegion(line, gran)
-			s.emit(Event{Kind: EvInvDeliver, GPM: dest, SM: NoSM, Line: line, Aux: gran})
+			s.deliverInv(dest, line, gran)
 			s.send(dest, from.id, msg.InvAck, func() {
 				pending--
 				if pending == 0 {
@@ -715,108 +638,68 @@ func (sm *SM) startAtomic(op trace.Op, done func(uint64)) {
 	}
 	sm.gpuHomeGate.Start()
 	sm.sysHomeGate.Start()
-	sysHome := s.Pages.SysHome(line)
+	h := s.Pages.SysHome(line)
+	if op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
+		h = s.Pages.GPUHome(sm.gpu, line)
+	}
 	s.Eng.Schedule(s.Cfg.L1Latency, func() {
-		if op.Scope == trace.ScopeGPU && s.Cfg.Policy.Hierarchical {
-			gpuHome := s.Pages.GPUHome(sm.gpu, line)
-			if gpuHome != sysHome {
-				s.send(sm.gpm, gpuHome, msg.AtomicReq, func() {
-					s.atomicAtGPUHome(sm, gpuHome, op, line, word, delta, done)
-				})
-				return
-			}
-		}
-		s.send(sm.gpm, sysHome, msg.AtomicReq, func() {
-			s.atomicAtSysHome(sm, sysHome, op, line, word, delta, done)
+		s.send(sm.gpm, h, msg.AtomicReq, func() {
+			s.atomicAtHome(sm, h, op, line, word, delta, done)
 		})
 	})
 }
 
-// atomicAtGPUHome performs a .gpu-scoped atomic at the GPU home node:
-// directory transitions as a store, RMW on the home copy (fetching from
-// the system home if absent), reply to the requester, and write the
-// result through to the system home.
+// atomicAtHome performs a .gpu or .sys atomic at home h, whose L2 atomic
+// unit serializes it per line: the directory transitions as for a
+// store, the RMW applies to the home copy (fetched from the level above
+// when absent), and the old value returns to the requester. The system
+// home also writes DRAM; a GPU home writes the result through to the
+// system home. The CARVE classification applies only at system homes:
+// CARVE is flat.
 //
-//lint:allow hotalloc atomic forward/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtGPUHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
+//lint:allow hotalloc atomic apply/reply continuations; budget gated by the hmgperf allocs/event baseline
+func (s *System) atomicAtHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
 	gpm := s.gpmOf(h)
-	sysHome := s.Pages.SysHome(line)
+	atSys := h == s.Pages.SysHome(line)
 	gpm.lockLine(line, func() {
 		s.Eng.Schedule(s.Cfg.L2Latency, func() {
-			s.homeStore(gpm, line, sm.gpm == h, proto.GPMRequester(s.Cfg.Topo.LocalOf(sm.gpm)))
-			finish := func(old uint64) {
+			if gpm.classes != nil && s.classifyStore(gpm, line, sm.gpm) {
+				s.broadcastInv(gpm, line)
+			}
+			s.homeStore(gpm, sm.gpm, line)
+			s.homeLine(gpm, line, func(fill fillData) {
+				old := valOf(fill, word)
 				newVal := old + delta
 				if s.Cfg.TrackValues {
 					e, hit := gpm.L2.Peek(line)
 					if !hit {
+						// A GPU home's DRAM partition holds no values of
+						// a line it does not own, so the merge adds
+						// nothing there.
 						e, _ = gpm.L2.Fill(line)
+						e.MergeFrom(gpm.DRAM.LineValues(line))
 					}
 					e.SetValue(word, newVal)
+				}
+				if atSys {
+					if s.Cfg.TrackValues {
+						gpm.DRAM.StoreValue(op.Addr, newVal)
+					}
+					gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
 				}
 				s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})
 				gpm.unlockLine(line)
 				sm.gpuHomeGate.Finish()
-				// Reply to the requester and write the result through.
+				if atSys {
+					sm.sysHomeGate.Finish()
+				}
 				s.send(h, sm.gpm, msg.AtomicResp, func() { done(old) })
-				stOp := op
-				stOp.Val = newVal
-				s.send(h, sysHome, msg.StoreReq, func() {
-					s.sysHomeWrite(sysHome, proto.GPURequester(int(gpm.gpu)), false,
-						write{kind: msg.StoreReq, sm: sm, line: line, op: stOp, word: word, gpuDone: true})
-				})
-			}
-			if e, hit := gpm.L2.Lookup(line); hit {
-				v, _ := e.Value(word)
-				finish(v)
-				return
-			}
-			// Fetch the line from the system home first.
-			s.fetchLine(h, sysHome, op, line, proto.GPURequester(int(gpm.gpu)), true, true, func(fill fillData) {
-				finish(valOf(fill, word))
-			})
-		})
-	})
-}
-
-// atomicAtSysHome performs an atomic at the system home node.
-//
-//lint:allow hotalloc atomic apply/reply continuations; budget gated by the hmgperf allocs/event baseline
-func (s *System) atomicAtSysHome(sm *SM, sh topo.GPMID, op trace.Op, line topo.Line, word uint16, delta uint64, done func(uint64)) {
-	gpm := s.gpmOf(sh)
-	gpm.lockLine(line, func() {
-		s.Eng.Schedule(s.Cfg.L2Latency, func() {
-			if gpm.classes != nil {
-				if s.classifyStore(gpm, line, sm.gpm) {
-					s.broadcastInv(gpm, line)
+				if !atSys {
+					stOp := op
+					stOp.Val = newVal
+					s.forwardWrite(h, write{kind: msg.StoreReq, sm: sm, line: line, op: stOp, word: word})
 				}
-			}
-			s.homeStore(gpm, line, sm.gpm == sh, s.flatRequester(sm.gpm, sh))
-			finish := func(old uint64) {
-				if s.Cfg.TrackValues {
-					e, hit := gpm.L2.Peek(line)
-					if !hit {
-						e, _ = gpm.L2.Fill(line)
-						e.MergeFrom(gpm.DRAM.LineValues(line))
-					}
-					e.SetValue(word, old+delta)
-					gpm.DRAM.StoreValue(op.Addr, old+delta)
-				}
-				gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
-				s.emit(Event{Kind: EvAtomicApply, GPM: sh, SM: NoSM, Line: line,
-					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: old + delta})
-				gpm.unlockLine(line)
-				sm.gpuHomeGate.Finish()
-				sm.sysHomeGate.Finish()
-				s.send(sh, sm.gpm, msg.AtomicResp, func() { done(old) })
-			}
-			if e, hit := gpm.L2.Lookup(line); hit {
-				v, _ := e.Value(word)
-				finish(v)
-				return
-			}
-			s.dramFill(gpm, line, func(fill fillData) {
-				finish(valOf(fill, word))
 			})
 		})
 	})
@@ -870,7 +753,7 @@ func (s *System) atomicAtLocalL2(sm *SM, op trace.Op, line topo.Line, word uint1
 // non-multi-copy-atomic design eliminates.
 //
 //lint:allow hotalloc MCA store continuation; budget gated by the hmgperf allocs/event baseline
-func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool, w write) {
+func (s *System) sysHomeStoreMCA(sh, from topo.GPMID, w write) {
 	gpm := s.gpmOf(sh)
 	line := w.line
 	gpm.lockLine(line, func() {
@@ -879,10 +762,10 @@ func (s *System) sysHomeStoreMCA(sh topo.GPMID, req proto.Requester, local bool,
 			var evR directory.Region
 			var evT []proto.InvTarget
 			if gpm.Dir != nil {
-				if local {
+				if from == sh {
 					inv = gpm.Dir.LocalStore(line)
 				} else {
-					inv, evR, evT = gpm.Dir.RemoteStore(line, req)
+					inv, evR, evT = gpm.Dir.RemoteStore(line, s.requesterAt(from, sh))
 				}
 				// Eviction fan-out keeps the ack-free background path;
 				// only the store's own invalidations require acks.

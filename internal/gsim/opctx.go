@@ -10,12 +10,13 @@ package gsim
 //
 //   - loads: stageLoadValue (an L1 hit's value), stageLoadMiss (the
 //     SM-side L1 miss), stageRequesterProbe (the requester's own L2
-//     slice), stageGPUHomeLoad and stageSysHomeLoad (the home lookups);
+//     slice), stageHomeLoad (the lookup at a GPU home or the system
+//     home: homeLine in access.go);
 //   - writes: stageStartStore (the SM-side leg after the L1),
 //     stageStoreWB (absorption under the write-back option), then one
 //     walk shared by write-through stores and write-backs:
-//     stageGPUHomeWrite and stageSysHomeWrite apply a write value (see
-//     write in access.go) at each home;
+//     stageHomeWrite applies a write value (see write in access.go) at
+//     each home it reaches;
 //   - warps: stageOpDone (a posted op retires) and stageWarpWake (a
 //     timed re-issue).
 //
@@ -34,7 +35,6 @@ package gsim
 
 import (
 	"hmg/internal/msg"
-	"hmg/internal/proto"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
 )
@@ -52,18 +52,14 @@ const (
 	stageOpDone
 	// stageWarpWake clears a warp's timed-wakeup flag and re-issues.
 	stageWarpWake
-	// stageSysHomeLoad runs the system-home L2 lookup of a load.
-	stageSysHomeLoad
-	// stageGPUHomeLoad runs the GPU-home L2 lookup of a load.
-	stageGPUHomeLoad
+	// stageHomeLoad runs the L2 lookup of a load at its home (a GPU home
+	// or the system home).
+	stageHomeLoad
 	// stageRequesterProbe runs the requester-side local L2 probe of a
-	// load before it escalates to the home hierarchy.
+	// load before it escalates to its first home.
 	stageRequesterProbe
-	// stageSysHomeWrite applies a write (store or write-back) at the
-	// system home.
-	stageSysHomeWrite
-	// stageGPUHomeWrite applies a write at a GPU home node.
-	stageGPUHomeWrite
+	// stageHomeWrite applies a write (store or write-back) at a home.
+	stageHomeWrite
 	// stageStartStore runs the SM-side post-L1 leg of a store.
 	stageStartStore
 	// stageStoreWB runs the write-back-option L2 leg of a store: absorb
@@ -86,14 +82,12 @@ type opCtx struct {
 	op   trace.Op
 	line topo.Line
 	word uint16
-	flag bool // l1OK for loads; local for system-home writes
-	req  proto.Requester
+	flag bool // l1OK for loads
 	v    uint64
 	wr   write // the write a home-side write stage applies
 
 	done  func(uint64)
 	reply func(fillData)
-	next  func()
 }
 
 // newCtx draws a context from the free list (or allocates one while the
@@ -143,30 +137,22 @@ func (c *opCtx) Handle() {
 		c.release()
 		w.wakeup = false
 		w.tryIssue()
-	case stageSysHomeLoad:
-		s, sh, line, reply := c.s, c.g, c.line, c.reply
+	case stageHomeLoad:
+		s, h, line, reply := c.s, c.g, c.line, c.reply
 		c.release()
-		s.sysHomeLoadAtL2(sh, line, reply)
-	case stageGPUHomeLoad:
-		s, h, op, line, reply := c.s, c.g, c.op, c.line, c.reply
-		c.release()
-		s.gpuHomeLoadAtL2(h, op, line, reply)
+		s.homeLine(s.gpmOf(h), line, reply)
 	case stageRequesterProbe:
-		s, g, line, reply, next := c.s, c.g, c.line, c.reply, c.next
+		s, h, from, line, reply := c.s, c.g, c.from, c.line, c.reply
 		c.release()
-		if e, hit := s.gpmOf(g).L2.Lookup(line); hit {
+		if e, hit := s.gpmOf(from).L2.Lookup(line); hit {
 			reply(e.Data)
 			return
 		}
-		next()
-	case stageSysHomeWrite:
-		s, sh, req, local, w := c.s, c.g, c.req, c.flag, c.wr
-		c.release()
-		s.sysHomeWriteAtL2(sh, req, local, w)
-	case stageGPUHomeWrite:
+		s.fetchLine(from, h, true, line, reply)
+	case stageHomeWrite:
 		s, h, from, w := c.s, c.g, c.from, c.wr
 		c.release()
-		s.gpuHomeWriteAtL2(h, from, w)
+		s.homeWriteAtL2(h, from, w)
 	case stageStartStore:
 		sm, op, line, word := c.sm, c.op, c.line, c.word
 		c.release()

@@ -3,6 +3,7 @@ package gsim
 import (
 	"hmg/internal/cache"
 	"hmg/internal/engine"
+	"hmg/internal/msg"
 	"hmg/internal/topo"
 	"hmg/internal/trace"
 )
@@ -301,9 +302,9 @@ func (sm *SM) fenceInvalidations(scope trace.Scope, done func()) {
 			gateFor().Wait(ack)
 			continue
 		}
-		sm.sys.send(sm.gpm, tgt, relFenceKind, func() {
+		sm.sys.send(sm.gpm, tgt, msg.RelFence, func() {
 			gateFor().Wait(func() {
-				sm.sys.send(tgt, sm.gpm, relAckKind, ack)
+				sm.sys.send(tgt, sm.gpm, msg.RelAck, ack)
 			})
 		})
 	}
