@@ -116,6 +116,45 @@ func TestHmgtraceUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestBadScaleRejected: every CLI that takes -scale rejects a value
+// outside (0, 1], NaN included, with an error naming the scale instead
+// of a panic or a silently tiny trace.
+func TestBadScaleRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI build in -short mode")
+	}
+	bins := map[string]string{}
+	for _, tool := range []string{"hmgsim", "hmgtrace", "hmgcheck", "hmgbench"} {
+		bins[tool] = build(t, "cmd/"+tool)
+	}
+	out := filepath.Join(t.TempDir(), "x.hmgt")
+	for _, c := range []struct {
+		tool string
+		args []string
+	}{
+		{"hmgsim", []string{"-bench", "bfs", "-scale", "0"}},
+		{"hmgsim", []string{"-bench", "bfs", "-scale", "NaN"}},
+		{"hmgtrace", []string{"gen", "-bench", "bfs", "-scale", "0", "-o", out}},
+		{"hmgtrace", []string{"gen", "-bench", "bfs", "-scale", "NaN", "-o", out}},
+		{"hmgtrace", []string{"fig3", "-bench", "bfs", "-scale", "2"}},
+		{"hmgcheck", []string{"-scale", "0", "-seeds", "0"}},
+		{"hmgbench", []string{"-fig", "8", "-scale", "-1"}},
+	} {
+		got, err := exec.Command(bins[c.tool], c.args...).CombinedOutput()
+		msg := string(got)
+		if err == nil {
+			t.Errorf("%s %v: exit 0, want an error\n%s", c.tool, c.args, msg)
+			continue
+		}
+		if !strings.Contains(msg, "scale") || strings.Contains(msg, "panic:") || strings.Contains(msg, "goroutine") {
+			t.Errorf("%s %v: want an error naming the scale, no panic:\n%s", c.tool, c.args, msg)
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("hmgtrace gen wrote a trace for a rejected scale")
+	}
+}
+
 // TestHmgcheckFlow drives the conformance sweep end to end: a small
 // trunk sweep must pass, and the same sweep with an injected Table I
 // mutation must fail — the harness proving its own teeth.
@@ -139,6 +178,16 @@ func TestHmgcheckFlow(t *testing.T) {
 	}
 	if !strings.Contains(string(mutated), "FAILED") {
 		t.Fatalf("mutated sweep did not report failures:\n%s", mutated)
+	}
+	// The related-work baselines run under the checker too: CARVE's
+	// benchmark tier, and GPU-VI-MCA's with its write-back leg.
+	for name, want := range map[string]string{
+		"CARVE":      "1 cases passed (0 litmus, 1 bench, 0 spec)",
+		"GPU-VI-MCA": "2 cases passed (0 litmus, 2 bench, 0 spec)",
+	} {
+		if out := run(t, bin, "-protocol", name, "-bench", "nw-16K", "-scale", "0.1"); !strings.Contains(out, want) {
+			t.Fatalf("hmgcheck -protocol %s: want %q in:\n%s", name, want, out)
+		}
 	}
 	// Unknown names reuse the registry-derived errors.
 	if out, err := exec.Command(bin, "-protocol", "nope").CombinedOutput(); err == nil || !strings.Contains(string(out), "known:") {

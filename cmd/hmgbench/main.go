@@ -39,6 +39,7 @@ import (
 	"hmg/internal/experiments"
 	"hmg/internal/profiling"
 	"hmg/internal/topo"
+	"hmg/internal/workload"
 )
 
 func main() { os.Exit(run()) }
@@ -79,6 +80,10 @@ func run() (code int) {
 		}
 	}()
 
+	if err := workload.CheckScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "hmgbench: %v\n", err)
+		return 2
+	}
 	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
 	opts.SMsPerGPM = *sms

@@ -1,9 +1,11 @@
 // Command hmgcheck is the protocol conformance sweep: it runs seeded
 // litmus cases and the full Table III benchmark suite under every
 // coherence protocol with the runtime invariant checker attached, and
-// exits non-zero on any oracle or invariant violation. The hardware
-// directories NHCC and HMG run the suite a second time with the
-// write-back L2 option on.
+// exits non-zero on any oracle or invariant violation. The benchmark
+// tier covers every protocol, the related-work baselines GPU-VI-MCA and
+// CARVE included; the hardware-directory protocols (NHCC, HMG and
+// GPU-VI-MCA) run the suite a second time with the write-back L2 option
+// on. A selection that yields no cases is an error.
 //
 // Usage:
 //
@@ -57,6 +59,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 
 	var only proto.Kind
 	restrict := *protoName != ""
@@ -85,7 +90,7 @@ func main() {
 			run:  func() error { return cs.RunMutated(mu) },
 		})
 	}
-	for _, k := range hmg.Protocols() {
+	for _, k := range proto.AllKinds() {
 		if restrict && k != only {
 			continue
 		}
@@ -101,7 +106,7 @@ func main() {
 			// The hardware directories also run the Section IV write-back
 			// option: flushes reach the homes as whole-line WriteBacks, a
 			// path plain write-through runs never take.
-			if k == proto.NHCC || k == proto.HMG {
+			if proto.For(k).Hardware {
 				tasks = append(tasks, task{
 					name: fmt.Sprintf("bench %v+writeback/%s", k, name),
 					run:  func() error { return runBench(k, name, *scale, mu, shape, true) },
@@ -146,6 +151,9 @@ func main() {
 		})
 	}
 
+	if len(tasks) == 0 {
+		fatal(fmt.Errorf("the selection (-protocol %q, -bench %q, -seeds %d) yields no cases", *protoName, *benchName, *seeds))
+	}
 	failures := sweep(tasks, *jobs, *verbose)
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "hmgcheck: %d/%d cases FAILED\n", len(failures), len(tasks))

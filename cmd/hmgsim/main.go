@@ -40,6 +40,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	spec, err := topo.ParseSpec(*topoFlag)
 	if err != nil {
 		fatal(err)

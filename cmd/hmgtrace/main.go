@@ -56,10 +56,13 @@ func gen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark abbreviation")
 	out := fs.String("o", "", "output file")
-	scale := fs.Float64("scale", 1.0, "workload scale")
+	scale := fs.Float64("scale", 1.0, "workload scale in (0,1]")
 	fs.Parse(args)
 	if *bench == "" || *out == "" {
 		usage()
+	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
 	}
 	p, err := workload.Get(*bench)
 	if err != nil {
@@ -106,10 +109,13 @@ func info(args []string) {
 func fig3(args []string) {
 	fs := flag.NewFlagSet("fig3", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark abbreviation")
-	scale := fs.Float64("scale", 1.0, "workload scale")
+	scale := fs.Float64("scale", 1.0, "workload scale in (0,1]")
 	fs.Parse(args)
 	if *bench == "" {
 		usage()
+	}
+	if err := workload.CheckScale(*scale); err != nil {
+		fatal(err)
 	}
 	p, err := workload.Get(*bench)
 	if err != nil {

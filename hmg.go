@@ -227,6 +227,9 @@ func GenerateBenchmark(name string, cfg Config, scale float64) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := workload.CheckScale(scale); err != nil {
+		return nil, err
+	}
 	return p.Generate(cfg.Topo, scale), nil
 }
 

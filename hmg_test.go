@@ -1,6 +1,8 @@
 package hmg
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"hmg/internal/trace"
@@ -88,6 +90,12 @@ func TestGenerateBenchmark(t *testing.T) {
 	}
 	if _, err := GenerateBenchmark("nope", cfg, 0.1); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+	// A scale outside (0, 1] is an error, not a panic.
+	for _, scale := range []float64{0, math.NaN(), -0.5, 1.5} {
+		if _, err := GenerateBenchmark("lstm", cfg, scale); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("GenerateBenchmark at scale %v: err = %v, want a scale error", scale, err)
+		}
 	}
 }
 

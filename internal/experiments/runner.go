@@ -89,8 +89,10 @@ func (o Options) withDefaults() Options {
 // traces or configurations. Zero values mean "use the default" and are
 // always accepted.
 func (o Options) validate() error {
-	if math.IsNaN(o.Scale) || o.Scale < 0 || o.Scale > 1 {
-		return fmt.Errorf("experiments: Scale %v outside (0, 1] (zero selects the default)", o.Scale)
+	if o.Scale != 0 {
+		if err := workload.CheckScale(o.Scale); err != nil {
+			return fmt.Errorf("experiments: %v (zero selects the default)", err)
+		}
 	}
 	if o.SMsPerGPM < 0 {
 		return fmt.Errorf("experiments: negative SMsPerGPM %d (zero selects the default)", o.SMsPerGPM)

@@ -79,8 +79,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Kinds lists all configurations in the paper's presentation order.
+// Kinds lists the paper's six configurations in its presentation order.
+// AllKinds adds the related-work baselines.
 func Kinds() []Kind { return []Kind{NoRemoteCache, SWNonHier, NHCC, SWHier, HMG, Ideal} }
+
+// AllKinds lists every configuration ParseKind accepts: the paper's six
+// (Kinds), then the related-work baselines GPU-VI-MCA and CARVE.
+func AllKinds() []Kind { return append(Kinds(), GPUVI, CARVE) }
 
 // ParseKind resolves a configuration by name (case-sensitive, as printed
 // by String).

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"hmg/internal/topo"
@@ -297,4 +298,19 @@ func TestGeneratePanicsOnBadScale(t *testing.T) {
 		}
 	}()
 	p.Generate(expTopo(), 0)
+}
+
+// TestCheckScale: the valid scales are exactly (0, 1]; NaN is not one.
+func TestCheckScale(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{1, true}, {0.05, true}, {math.SmallestNonzeroFloat64, true},
+		{0, false}, {-0.1, false}, {1.0000001, false}, {math.Inf(1), false}, {math.NaN(), false},
+	} {
+		if err := CheckScale(c.scale); (err == nil) != c.ok {
+			t.Errorf("CheckScale(%v) = %v, want ok=%v", c.scale, err, c.ok)
+		}
+	}
 }
