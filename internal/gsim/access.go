@@ -465,14 +465,14 @@ func (s *System) applyWrite(gpm *GPM, w *write, atSys bool) {
 			if s.Cfg.TrackValues {
 				gpm.DRAM.StoreValue(w.op.Addr, w.op.Val)
 			}
-			gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
+			gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload)
 		} else {
 			base := topo.Addr(uint64(w.line) * uint64(s.Cfg.Topo.LineSize))
 			//lint:allow determinism each word stores to its own address; per-word DRAM writes commute
 			for word, v := range w.data {
 				gpm.DRAM.StoreValue(base+topo.Addr(word)*4, v)
 			}
-			gpm.DRAM.Write(s.Cfg.Topo.LineSize, nil)
+			gpm.DRAM.Write(s.Cfg.Topo.LineSize)
 		}
 	}
 	if w.isStore() {
@@ -685,7 +685,7 @@ func (s *System) atomicAtHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line,
 					if s.Cfg.TrackValues {
 						gpm.DRAM.StoreValue(op.Addr, newVal)
 					}
-					gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload, nil)
+					gpm.DRAM.Write(s.Cfg.Net.Sizes.StorePayload)
 				}
 				s.emit(Event{Kind: EvAtomicApply, GPM: h, SM: NoSM, Line: line,
 					Addr: op.Addr, Scope: op.Scope, Op: op.Kind, Val: newVal})

@@ -81,14 +81,12 @@ func (d *DRAM) Read(l topo.Line, done func()) {
 	d.eng.ScheduleAt(d.occupy(d.cfg.LineSize), done)
 }
 
-// Write stores write-through data of the given size, invoking done (which
-// may be nil) when the write has been accepted by the partition.
-func (d *DRAM) Write(bytes int, done func()) {
+// Write stores write-through data of the given size. It is posted:
+// nothing waits for it, but it occupies the partition's bandwidth and so
+// delays the accesses queued behind it.
+func (d *DRAM) Write(bytes int) {
 	d.Stats.Writes++
-	at := d.occupy(bytes)
-	if done != nil {
-		d.eng.ScheduleAt(at, done)
-	}
+	d.occupy(bytes)
 }
 
 // wordIndex returns the global word index of an address.

@@ -38,24 +38,28 @@ func TestBandwidthQueueing(t *testing.T) {
 	}
 }
 
-func TestWriteNilDone(t *testing.T) {
-	e := engine.New(1.3e9)
-	d := New(e, DefaultConfig())
-	d.Write(32, nil) // must not panic
-	e.Drain()
-	if d.Stats.Writes != 1 {
-		t.Fatalf("Writes = %d", d.Stats.Writes)
+// TestWriteDelaysRead: a posted write takes no callback, but its bytes
+// occupy the partition's bandwidth, so a read issued behind it finishes
+// later than on an idle partition.
+func TestWriteDelaysRead(t *testing.T) {
+	readAt := func(writeBytes int) engine.Cycle {
+		e := engine.New(1.3e9)
+		// 130 GB/s = 100 B/cyc.
+		d := New(e, Config{BandwidthGBs: 130, Latency: 10, LineSize: 128})
+		if writeBytes > 0 {
+			d.Write(writeBytes)
+		}
+		var at engine.Cycle
+		d.Read(0, func() { at = e.Now() })
+		e.Drain()
+		if writeBytes > 0 && (d.Stats.Writes != 1 || d.Stats.Bytes != uint64(writeBytes+128)) {
+			t.Fatalf("stats = %+v", d.Stats)
+		}
+		return at
 	}
-}
-
-func TestWriteDone(t *testing.T) {
-	e := engine.New(1.3e9)
-	d := New(e, Config{BandwidthGBs: 0, Latency: 5, LineSize: 128})
-	var at engine.Cycle
-	d.Write(32, func() { at = e.Now() })
-	e.Drain()
-	if at != 5 {
-		t.Fatalf("write done at %d, want 5", at)
+	// Idle: ceil(1.28) + 10. Behind 1280 B: ceil(12.8 + 1.28) + 10.
+	if idle, busy := readAt(0), readAt(1280); idle != 12 || busy != 25 {
+		t.Fatalf("read at %d idle and %d behind a write, want 12 and 25", idle, busy)
 	}
 }
 
