@@ -30,8 +30,9 @@
 #                proto.Mutation bit is injected and the diff must FAIL,
 #                proving the tier has teeth.
 #   conformance  the hmgcheck sweep: seeded litmus cases plus the
-#                benchmark suite under every protocol (and NHCC and HMG
-#                again with the write-back L2 option) with the invariant
+#                benchmark suite under every protocol, the related-work
+#                baselines included (and the hardware-directory protocols
+#                again with the write-back L2 option), with the invariant
 #                checker attached.
 #   scaling      one benchmark on an 8x8 machine (64 global GPMs — past
 #                the 32-id inline sharer word, so flat NHCC runs on the
@@ -56,6 +57,11 @@
 #                record it touches against the freshly measured
 #                cycles/events — a second determinism tripwire when the
 #                store tier ran first.
+#   perfbench    go vet and go test inside perfbench/, the benchmark
+#                module. It builds against this tree's internal packages
+#                (replace hmg => ../), so an internal API change that
+#                breaks the benchmark fails here rather than at
+#                benchmark time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -214,7 +220,12 @@ tier_perf() {
   go run ./cmd/hmgperf -against "$baseline" -cachedir "$RESSTORE_DIR"
 }
 
-TIERS=(build vet lint test race spec conformance scaling fuzz store perf)
+tier_perfbench() {
+  echo "== perfbench module (vet and tests against this tree)"
+  (cd perfbench && go vet ./... && go test ./...)
+}
+
+TIERS=(build vet lint test race spec conformance scaling fuzz store perf perfbench)
 if [ "$#" -eq 0 ]; then
   set -- "${TIERS[@]}"
 fi
