@@ -66,17 +66,6 @@ func digestWorkloads(t *testing.T) []namedWorkload {
 	}
 }
 
-// everyKind lists every protocol proto.ParseKind accepts.
-func everyKind() []proto.Kind {
-	var ks []proto.Kind
-	for k := proto.Kind(0); ; k++ {
-		if _, err := proto.ParseKind(k.String()); err != nil {
-			return ks
-		}
-		ks = append(ks, k)
-	}
-}
-
 // runDigest runs one configuration and hashes its whole event stream
 // (every event's cycle and fields) followed by the Results codec bytes.
 func runDigest(cfg gsim.Config, tr *trace.Trace) (string, error) {
@@ -112,7 +101,7 @@ func TestEventDigests(t *testing.T) {
 	wls := digestWorkloads(t)
 	got := map[string]string{}
 	var keys []string
-	for _, k := range everyKind() {
+	for _, k := range proto.AllKinds() {
 		for _, wb := range []bool{false, true} {
 			policy := "write-through"
 			if wb {

@@ -6,9 +6,17 @@ import (
 )
 
 func TestKindStringsAndParse(t *testing.T) {
-	all := append(Kinds(), CARVE, GPUVI)
+	all := AllKinds()
 	if len(Kinds()) != 6 {
 		t.Fatalf("paper configurations = %d, want 6", len(Kinds()))
+	}
+	// AllKinds is every kind ParseKind accepts: kinds are numbered from
+	// zero, so the next number must not parse.
+	if len(all) != 8 {
+		t.Fatalf("AllKinds = %v, want the paper's 6 plus GPU-VI-MCA and CARVE", all)
+	}
+	if _, err := ParseKind(Kind(len(all)).String()); err == nil {
+		t.Errorf("AllKinds misses %v", Kind(len(all)))
 	}
 	for _, k := range all {
 		s := k.String()
