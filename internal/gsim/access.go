@@ -61,7 +61,7 @@ func (sm *SM) startLoad(op trace.Op, isAcq bool, done func(uint64)) {
 		}
 	}
 	c := s.newCtx(stageLoadMiss)
-	c.sm, c.op, c.line, c.word, c.flag, c.done = sm, op, line, word, l1OK, done
+	c.sm, c.op, c.line, c.word, c.l1OK, c.done = sm, op, line, word, l1OK, done
 	s.Eng.ScheduleHandler(s.Cfg.L1Latency, c)
 }
 

@@ -82,7 +82,7 @@ type opCtx struct {
 	op   trace.Op
 	line topo.Line
 	word uint16
-	flag bool // l1OK for loads
+	l1OK bool // the load may fill the L1 (stageLoadMiss)
 	v    uint64
 	wr   write // the write a home-side write stage applies
 
@@ -125,7 +125,7 @@ func (c *opCtx) Handle() {
 		c.release()
 		done(v)
 	case stageLoadMiss:
-		sm, op, line, word, l1OK, done := c.sm, c.op, c.line, c.word, c.flag, c.done
+		sm, op, line, word, l1OK, done := c.sm, c.op, c.line, c.word, c.l1OK, c.done
 		c.release()
 		sm.loadAfterL1Miss(op, line, word, l1OK, done)
 	case stageOpDone:
