@@ -735,12 +735,18 @@ func (s *System) atomicAtLocalL2(sm *SM, op trace.Op, line topo.Line, word uint1
 					finish(v)
 					return
 				}
+				reply := func(fill fillData) { finish(valOf(fill, word)) }
+				if s.Cfg.Policy.MCA && sm.gpm == s.Pages.SysHome(line) {
+					// This slice is the line's system home, and the atomic
+					// already holds the line lock that an MCA load waits
+					// behind (homeLoad): no store can be awaiting acks.
+					s.homeLoadUnlocked(sm.gpm, sm.gpm, false, line, reply)
+					return
+				}
 				loadOp := op
 				loadOp.Kind = trace.Load
 				loadOp.Scope = trace.ScopeNone
-				s.requesterL2Load(sm, loadOp, line, func(fill fillData) {
-					finish(valOf(fill, word))
-				})
+				s.requesterL2Load(sm, loadOp, line, reply)
 			})
 		})
 	})

@@ -160,6 +160,30 @@ func TestGPUAtomicsSerializeWithinGPU(t *testing.T) {
 	}
 }
 
+// TestMCAGPMAtomicAtSysHome: under multi-copy atomicity, .gpm atomics
+// on the line's own system home GPM miss in its slice and load the line
+// while holding the slice's line lock. The load must not wait behind
+// that lock, or the kernel deadlocks.
+func TestMCAGPMAtomicAtSysHome(t *testing.T) {
+	const addr = 0x400
+	var ops []trace.Op
+	for i := 0; i < 3; i++ {
+		ops = append(ops, trace.Op{Kind: trace.Atomic, Scope: trace.ScopeGPM, Addr: addr, Val: 1})
+	}
+	// One CTA runs on GPM 0, which also owns the page.
+	tr := placeAll(warpsTrace(ops), 1, 0)
+	s, err := New(tinyConfig(proto.GPUVI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.GPMs[0].DRAM.LoadValue(addr); got != 3 {
+		t.Fatalf("atomic result in DRAM = %d, want 3", got)
+	}
+}
+
 // TestHMGSharerTrackingHierarchy: after two GPMs of GPU 1 load a line
 // owned by GPU 0, the system home tracks GPU 1 (not its GPMs), and GPU
 // 1's home node tracks both GPMs.
