@@ -673,11 +673,10 @@ func (s *System) atomicAtHome(sm *SM, h topo.GPMID, op trace.Op, line topo.Line,
 				if s.Cfg.TrackValues {
 					e, hit := gpm.L2.Peek(line)
 					if !hit {
-						// A GPU home's DRAM partition holds no values of
-						// a line it does not own, so the merge adds
-						// nothing there.
 						e, _ = gpm.L2.Fill(line)
-						e.MergeFrom(gpm.DRAM.LineValues(line))
+						if atSys {
+							e.MergeFrom(gpm.DRAM.LineValues(line))
+						}
 					}
 					e.SetValue(word, newVal)
 				}
