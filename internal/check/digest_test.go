@@ -30,20 +30,23 @@ import (
 var updateDigests = flag.Bool("update-digests", false,
 	"rewrite "+digestFile+" (deliberate model changes only, with a modelSchemaVersion bump)")
 
-const (
-	digestFile  = "testdata/event_digests.txt"
-	digestScale = 0.05
-)
+const digestFile = "testdata/event_digests.txt"
 
-// namedWorkload is one pinned workload and its name in the golden file.
+// namedWorkload is one pinned workload, its name in the golden file,
+// the scale it runs at and the scope its synchronization must issue at
+// (ScopeNone for synchronization-free traffic).
 type namedWorkload struct {
-	name string
-	p    workload.Params
+	name  string
+	p     workload.Params
+	scale float64
+	sync  trace.Scope
 }
 
 // digestWorkloads returns the pinned workloads. mst synchronizes at
 // .gpu scope, half of its episodes through atomics; the /sys and /gpm
-// variants move the same episodes to the other scopes. bfs is plain,
+// variants move the same episodes to the other scopes. Generate never
+// lets a warp synchronize more often than every 16 ops, so mst runs at
+// scale 0.25: 37 ops per warp, two sync episodes each. bfs is plain,
 // synchronization-free traffic.
 func digestWorkloads(t *testing.T) []namedWorkload {
 	t.Helper()
@@ -59,10 +62,42 @@ func digestWorkloads(t *testing.T) []namedWorkload {
 	mstSys.SyncScope = trace.ScopeSys
 	mstGPM.SyncScope = trace.ScopeGPM
 	return []namedWorkload{
-		{"mst", mst},
-		{"mst/sys", mstSys},
-		{"mst/gpm", mstGPM},
-		{"bfs", get("bfs")},
+		{"mst", mst, 0.25, trace.ScopeGPU},
+		{"mst/sys", mstSys, 0.25, trace.ScopeSys},
+		{"mst/gpm", mstGPM, 0.25, trace.ScopeGPM},
+		{"bfs", get("bfs"), 0.05, trace.ScopeNone},
+	}
+}
+
+// checkSync fails unless every synchronizing op of tr is at scope want
+// and, when want is a scope, tr issues atomics, releases and acquires,
+// so a trace whose sync cadence silently falls out cannot pin the
+// synchronizing walks.
+func checkSync(t *testing.T, name string, tr *trace.Trace, want trace.Scope) {
+	t.Helper()
+	count := map[trace.OpKind]int{}
+	for _, k := range tr.Kernels {
+		for _, c := range k.CTAs {
+			for _, w := range c.Warps {
+				for _, op := range w.Ops {
+					if !op.Kind.IsSync() {
+						continue
+					}
+					if op.Scope != want {
+						t.Fatalf("%s: %v at scope %v, want %v", name, op.Kind, op.Scope, want)
+					}
+					count[op.Kind]++
+				}
+			}
+		}
+	}
+	if want == trace.ScopeNone {
+		return
+	}
+	for _, k := range []trace.OpKind{trace.Atomic, trace.StoreRel, trace.LoadAcq} {
+		if count[k] == 0 {
+			t.Errorf("%s: no %v ops at scope %v", name, k, want)
+		}
 	}
 }
 
@@ -99,6 +134,11 @@ func runDigest(cfg gsim.Config, tr *trace.Trace) (string, error) {
 // golden file.
 func TestEventDigests(t *testing.T) {
 	wls := digestWorkloads(t)
+	trs := make([]*trace.Trace, len(wls))
+	for i, wl := range wls {
+		trs[i] = wl.p.Generate(consist.SmallConfig(proto.HMG).Topo, wl.scale)
+		checkSync(t, wl.name, trs[i], wl.sync)
+	}
 	got := map[string]string{}
 	var keys []string
 	for _, k := range proto.AllKinds() {
@@ -107,11 +147,11 @@ func TestEventDigests(t *testing.T) {
 			if wb {
 				policy = "write-back"
 			}
-			for _, wl := range wls {
+			for i, wl := range wls {
 				key := fmt.Sprintf("%v/%s/%s", k, policy, wl.name)
 				cfg := consist.SmallConfig(k)
 				cfg.WriteBack = wb
-				d, err := runDigest(cfg, wl.p.Generate(cfg.Topo, digestScale))
+				d, err := runDigest(cfg, trs[i])
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
